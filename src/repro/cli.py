@@ -359,6 +359,8 @@ def _print_plan_cache_stats() -> None:
     print(f"plan cache: {st['hits']} hits, {st['misses']} misses, "
           f"{st['evictions']} evictions ({st['entries']} entries, "
           f"maxsize {st['maxsize']})")
+    print(f"plan lifetime: {st['superseded']} superseded by writes, "
+          f"{st['released']} released with their databases")
     _print_incremental_stats()
 
 

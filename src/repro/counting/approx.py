@@ -57,30 +57,48 @@ def exact_dnf_count(terms: Sequence[Sequence[int]], n_vars: int) -> int:
     return count
 
 
-def exact_dnf_count_inclusion_exclusion(terms: Sequence[Sequence[int]],
-                                        n_vars: int) -> int:
-    """Inclusion-exclusion over terms (2^m terms) — a second ground truth,
-    exact for any n when m is small."""
-    from itertools import combinations
+def exact_dnf_count_shannon(terms: Sequence[Sequence[int]],
+                            n_vars: int) -> int:
+    """Shannon expansion with memoised residual formulas — a second
+    ground truth, exact for any n.
 
-    m = len(terms)
-    total = 0
-    for r in range(1, m + 1):
-        for subset in combinations(range(m), r):
-            merged: Dict[int, bool] = {}
-            consistent = True
-            for i in subset:
-                for lit in terms[i]:
-                    v, sign = abs(lit), lit > 0
-                    if merged.get(v, sign) != sign:
-                        consistent = False
-                        break
-                    merged[v] = sign
-                if not consistent:
-                    break
-            if consistent:
-                total += (-1) ** (r + 1) * (1 << (n_vars - len(merged)))
-    return total
+    Branches on the most frequent variable: setting it true drops the
+    terms that negate it and strips it from the rest, and false does the
+    converse.  Residual term sets recur across branches, so each is
+    counted once.  Variables a residual no longer mentions are free, and
+    each doubles the count.  Contradictory terms (v and -v) are dropped
+    up front.
+    """
+    memo: Dict[FrozenSet[FrozenSet[int]], int] = {}
+
+    def n_mentioned(ts: FrozenSet[FrozenSet[int]]) -> int:
+        return len({abs(lit) for t in ts for lit in t})
+
+    def models(ts: FrozenSet[FrozenSet[int]]) -> int:
+        # satisfying assignments over the variables ``ts`` mentions
+        if not ts:
+            return 0
+        if frozenset() in ts:
+            return 1 << n_mentioned(ts)
+        got = memo.get(ts)
+        if got is not None:
+            return got
+        freq: Dict[int, int] = {}
+        for t in ts:
+            for lit in t:
+                freq[abs(lit)] = freq.get(abs(lit), 0) + 1
+        v = max(freq, key=freq.__getitem__)
+        total = 0
+        for lit in (v, -v):
+            residual = frozenset(t - {lit} for t in ts if -lit not in t)
+            total += models(residual) << (len(freq) - 1
+                                          - n_mentioned(residual))
+        memo[ts] = total
+        return total
+
+    start = frozenset(frozenset(t) for t in terms
+                      if not any(-lit in t for lit in t))
+    return models(start) << (n_vars - n_mentioned(start))
 
 
 def _sample_estimate(terms: Sequence[Sequence[int]], n_vars: int,

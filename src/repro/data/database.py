@@ -147,15 +147,16 @@ class Database:
     def fingerprint(self) -> Tuple:
         """A hashable snapshot identity for plan caching.
 
-        Combines, per relation, its object identity with its mutation
-        ``version`` and cardinality, plus the domain size — equal
-        fingerprints mean "the same relation objects in the same state".
-        Only sound while the relation objects are alive (``id`` reuse);
-        :mod:`repro.core.plancache` pins them for exactly that reason.
+        Combines, per relation, its process-unique ``serial`` with its
+        mutation ``version`` and cardinality, plus the domain size —
+        equal fingerprints mean "the same relation objects in the same
+        state".  Serials are never reused, so a fingerprint stays sound
+        after its database dies and the plan cache need not keep the
+        database alive (see :mod:`repro.core.plancache`).
         """
         return (
             len(self._domain),
-            tuple((name, id(rel), rel.version, len(rel))
+            tuple((name, rel.serial, rel.version, len(rel))
                   for name, rel in self._relations.items()),
         )
 

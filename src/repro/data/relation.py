@@ -21,6 +21,10 @@ from repro.errors import MalformedQueryError
 
 Tup = Tuple[Any, ...]
 
+#: source of :attr:`Relation.serial`; never reset, so unlike ``id()``
+#: (recycled once an object dies) a serial is never handed out twice
+_SERIALS = itertools.count()
+
 DELTA_LOG_ENV_VAR = "REPRO_DELTA_LOG"
 DEFAULT_DELTA_LOG_CAPACITY = 4096
 
@@ -96,14 +100,17 @@ class Relation:
         Optional initial contents; duplicates are silently collapsed.
     """
 
-    __slots__ = ("name", "arity", "_tuples", "_indexes", "_colcache",
-                 "_version", "_deltalog")
+    __slots__ = ("name", "arity", "serial", "_tuples", "_indexes",
+                 "_colcache", "_version", "_deltalog")
 
     def __init__(self, name: str, arity: int, tuples: Optional[Iterable[Sequence[Any]]] = None):
         if arity < 0:
             raise MalformedQueryError(f"relation {name!r}: arity must be >= 0, got {arity}")
         self.name = name
         self.arity = arity
+        #: process-unique identity: (serial, version) names one state of
+        #: this relation in plan-cache and per-symbol workspace keys
+        self.serial = next(_SERIALS)
         # dict used as an insertion-ordered set
         self._tuples: Dict[Tup, None] = {}
         # (columns) -> {key tuple -> list of full tuples}
@@ -113,8 +120,8 @@ class Relation:
         # carries the version it was built at, so mutations keep it in
         # place for delta patching instead of throwing it away
         self._colcache = None
-        # bumped on every effective add/discard; (id, version, len) is the
-        # plan-cache invalidation fingerprint (repro.core.plancache)
+        # bumped on every effective add/discard; (serial, version, len) is
+        # the plan-cache invalidation fingerprint (repro.core.plancache)
         self._version = 0
         # effective mutations since (up to) `delta_log_capacity()` versions
         # ago, for incremental plan refresh (repro.core.plancache)
@@ -192,6 +199,15 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, arity={self.arity}, size={len(self)})"
+
+    def __setstate__(self, state) -> None:
+        # copy.copy/deepcopy and unpickling restore every slot, the serial
+        # included; the result is a new object, so it draws a fresh serial
+        # (two relations sharing one would share plan-cache keys)
+        _, slots = state
+        for attr, value in slots.items():
+            setattr(self, attr, value)
+        self.serial = next(_SERIALS)
 
     @property
     def version(self) -> int:

@@ -20,7 +20,7 @@ layered on the columnar representation.  Two things change relative to
    to the base columns in term order, so their probe tables depend only
    on (symbol, column positions) — never on variable names.  The engine
    keeps one position-keyed probe-cache dict per stored relation version
-   (LRU, pinned against id reuse exactly like
+   (LRU, keyed on the relation's never-reused ``serial`` exactly like
    :mod:`repro.core.plancache`), and every such atom's materialisation
    shares it.  A self-join query with k atoms over one symbol builds
    each probe table once instead of k times; ``Relation.version`` bumps

@@ -251,9 +251,8 @@ def _dispose_arenas() -> None:  # pragma: no cover - exit path
 # 2 workers was mostly publish + spawn).  Code columns are immutable
 # (mutation builds new relations), so an arena over a given set of column
 # arrays stays valid for as long as those arrays live: the cache below
-# keys on the column arrays' identities — the same identity+length
-# fingerprint scheme PlanCache uses for stored relations — and pins the
-# arrays against id reuse.  A second operation over the same columns
+# keys on the column arrays' identities (``id`` plus length) and pins
+# the arrays against id reuse.  A second operation over the same columns
 # (count then reduce in one query, or any warm-plan re-run on the same
 # db version) attaches to the already-published segment instead of
 # copying again.  Alive masks are *mutated* during reduction, so they

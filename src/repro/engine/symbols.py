@@ -10,9 +10,10 @@ the idea for all-distinct-variable atoms; this module generalises it so
 every backend (tuple, columnar, parallel, compiled) shares one build per
 (symbol, database version):
 
-* one **entry** per (symbol, stored-relation identity, version), LRU'd
-  and pinned exactly like :mod:`repro.core.plancache` (an id can only be
-  reused after the pinned object dies, so the key is sound);
+* one **entry** per (symbol, stored-relation serial, version), LRU'd;
+  the key names the stored relation by its process-unique
+  :attr:`~repro.data.relation.Relation.serial`, so an entry needs no
+  reference to the relation and never keeps it alive;
 * per entry, one shared position-keyed **probe cache** served to every
   all-distinct-variable atom over the symbol (``_BatchProbe`` and radix
   tables key on column positions, so ``R(x, y)`` and ``R(u, v)`` probing
@@ -106,12 +107,14 @@ def atom_signature(atom) -> Optional[Tuple]:
 
 
 class _SymbolEntry:
-    """Shared artefacts of one (symbol, stored relation, version)."""
+    """Shared artefacts of one (symbol, stored relation, version).
 
-    __slots__ = ("rel", "probes", "variants")
+    Holds derived structures only: the entry is keyed on the relation's
+    serial, never on the relation object itself."""
 
-    def __init__(self, rel: Any, probes: Optional[Dict[Any, Any]] = None):
-        self.rel = rel  # pin: keeps id(rel) from being reused while cached
+    __slots__ = ("probes", "variants")
+
+    def __init__(self, probes: Optional[Dict[Any, Any]] = None):
         #: position-keyed probe cache for the base (all-distinct) layout;
         #: installed as the materialised relations' ``_probecache``
         self.probes: Dict[Any, Any] = probes if probes is not None else {}
@@ -134,8 +137,8 @@ class _SymbolEntry:
 class SymbolWorkspace:
     """Per-engine registry of shared per-symbol artefacts.
 
-    Keys are (symbol, id(stored relation), version); a mutation bumps the
-    stored relation's version, making the stale entry unreachable (it
+    Keys are (symbol, stored relation serial, version); a mutation bumps
+    the stored relation's version, making the stale entry unreachable (it
     ages out by LRU, or migrates its patchable probes forward on an
     append-only delta, mirroring the plan cache's refresh path).
     """
@@ -149,7 +152,7 @@ class SymbolWorkspace:
               dictionary: Any = None) -> _SymbolEntry:
         """The live entry for ``rel``'s current version (hit), or a fresh
         one seeded from its stale predecessor where sound (miss)."""
-        key = (name, id(rel), rel.version)
+        key = (name, rel.serial, rel.version)
         found = self._entries.get(key)
         if found is not None:
             self._entries.move_to_end(key)
@@ -159,14 +162,14 @@ class SymbolWorkspace:
         obs.count("engine.symbol_workspace_misses")
         obs.count(f"{scope}.symbol_cache_misses")
         stale = [k for k in self._entries
-                 if k[0] == name and k[1] == id(rel)]
+                 if k[0] == name and k[1] == rel.serial]
         probes: Dict[Any, Any] = {}
         if stale and dictionary is not None:
             probes = self._migrated_probes(
                 rel, max(stale, key=lambda k: k[2]), dictionary, scope)
         for k in stale:
             del self._entries[k]
-        made = _SymbolEntry(rel, probes)
+        made = _SymbolEntry(probes)
         self._entries[key] = made
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)

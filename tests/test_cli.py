@@ -95,6 +95,8 @@ def test_doctor_prints_plan_cache_stats(capsys):
     assert main(["doctor", "Q(x) :- R(x, z), S(z, y)"]) == 0
     out = capsys.readouterr().out
     assert "plan cache:" in out and "evictions" in out
+    assert "plan lifetime:" in out and "superseded" in out \
+        and "released" in out
 
 
 def test_explain_command(capsys):

@@ -7,7 +7,7 @@ from repro.counting.approx import (
     count_so_models_bruteforce,
     encode_3dnf,
     exact_dnf_count,
-    exact_dnf_count_inclusion_exclusion,
+    exact_dnf_count_shannon,
     karp_luby_dnf,
 )
 from repro.counting.matchings import (
@@ -77,14 +77,30 @@ def test_exact_counters_agree():
     for seed in range(6):
         terms = generators.random_kdnf(8, 5, k=3, seed=seed)
         assert exact_dnf_count(terms, 8) == \
-            exact_dnf_count_inclusion_exclusion(terms, 8), seed
+            exact_dnf_count_shannon(terms, 8), seed
+
+
+def test_shannon_count_matches_brute_force_on_small_instances():
+    def brute(terms, n):
+        return sum(
+            any(all(((bits >> (abs(lit) - 1)) & 1) == (lit > 0)
+                    for lit in t) for t in terms)
+            for bits in range(1 << n))
+
+    cases = [([], 4), ([[]], 3), ([[1, -1]], 3), ([[1, 1, -2]], 3),
+             ([[1], [-1]], 2), ([[2, 3], [-3, 4], [1, -2, 4]], 6)]
+    cases += [(generators.random_kdnf(9, m, k=3, seed=seed), 9)
+              for seed in range(4) for m in (1, 6, 14)]
+    for terms, n in cases:
+        exact = exact_dnf_count_shannon(terms, n)
+        assert exact == exact_dnf_count(terms, n) == brute(terms, n), terms
 
 
 def test_karp_luby_within_epsilon():
     failures = 0
     for seed in range(8):
         terms = generators.random_kdnf(10, 8, k=3, seed=seed)
-        exact = exact_dnf_count_inclusion_exclusion(terms, 10)
+        exact = exact_dnf_count_shannon(terms, 10)
         est = karp_luby_dnf(terms, 10, epsilon=0.1, seed=seed)
         if abs(est - exact) > 0.1 * max(exact, 1):
             failures += 1
