@@ -43,10 +43,13 @@ def test_a1_reducer_ablation(benchmark):
     def fresh():
         return [r1.copy(), r2.copy(), r3.copy()]
 
+    # block_size=0: blocks of one answer, so each measured gap is one
+    # answer's delay (a larger block would fold the stalls into its
+    # amortised cost)
     with_reduce = measure_enumerator(
-        FullJoinEnumerator(fresh(), (x, y, z, w), reduce=True))
+        FullJoinEnumerator(fresh(), (x, y, z, w), reduce=True, block_size=0))
     without = measure_enumerator(
-        FullJoinEnumerator(fresh(), (x, y, z, w), reduce=False))
+        FullJoinEnumerator(fresh(), (x, y, z, w), reduce=False, block_size=0))
     assert with_reduce.n_outputs == without.n_outputs == m * 20
     rows = [
         ("with full reducer", with_reduce.n_outputs,

@@ -74,6 +74,12 @@ Commands
 trace-event JSON for chrome://tracing / Perfetto) and ``--metrics``
 (flat JSON counters/gauges on stderr); the ``REPRO_TRACE`` environment
 variable does the same without flags.
+
+Exit codes: 0 on success; 1 when a requested check fails (``--gate
+fail``, ``--strict``); 2 for a usage error (bad flags or arguments); 3
+when the library rejects the query or the data (any
+:class:`repro.errors.ReproError`, printed as one ``repro: error:`` line
+on stderr).
 """
 
 from __future__ import annotations
@@ -85,6 +91,10 @@ from typing import Any, List, Optional, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.errors import ReproError
+
+#: exit code for a query or database the library rejects (a ReproError)
+EXIT_REJECTED = 3
 
 
 def _parse_value(text: str) -> Any:
@@ -1321,7 +1331,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"repro: error: {message}", file=sys.stderr)
+        return EXIT_REJECTED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,6 +13,7 @@ dispatches:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Iterator, Set, Tuple, Union
 
 from repro import obs
@@ -48,63 +49,60 @@ def enumerate_answers(query: QueryLike, db: Database, engine=None,
     answer stream is wrapped so delay observations recorded while it
     runs are attributed to this query's plan label and checked against
     its classifier-derived expectation.
+
+    This generator is the only frame between the consumer and the
+    chosen enumerator's stream; preprocessing runs at the first
+    ``next``, inside the ``planner.enumerate`` span.
     """
     from repro.obs.watchdog import maybe_watch
 
-    inner = maybe_watch(query, _enumerate_answers(query, db, engine=engine,
-                                                  block_size=block_size))
-    if not obs.enabled():
-        yield from inner
-        return
-    with obs.span("planner.enumerate", query=type(query).__name__):
-        yield from inner
+    span = (obs.span("planner.enumerate", query=type(query).__name__)
+            if obs.enabled() else nullcontext())
+    with span:
+        yield from maybe_watch(query, _enumerate_answers(
+            query, db, engine=engine, block_size=block_size))
 
 
 def _enumerate_answers(query: QueryLike, db: Database, engine=None,
                        block_size=None) -> Iterator[Tuple[Any, ...]]:
+    """The answer iterator of the route ``query`` takes; the chosen
+    enumerator preprocesses before this returns."""
     if isinstance(query, ConjunctiveQuery):
         if query.order_comparisons():
             from repro.enumeration.disequality import FallbackDisequalityEnumerator
 
-            yield from FallbackDisequalityEnumerator(query, db)
-            return
+            return iter(FallbackDisequalityEnumerator(query, db))
         if query.disequalities():
             from repro.enumeration.disequality import enumerate_acq_disequalities
             from repro.errors import NotFreeConnexError
 
             try:
-                yield from enumerate_acq_disequalities(query, db)
+                return iter(enumerate_acq_disequalities(query, db))
             except NotFreeConnexError:
                 from repro.enumeration.disequality import FallbackDisequalityEnumerator
 
-                yield from FallbackDisequalityEnumerator(query, db)
-            return
+                return iter(FallbackDisequalityEnumerator(query, db))
         if query.is_acyclic():
             if query.is_free_connex():
                 from repro.enumeration.free_connex import FreeConnexEnumerator
 
-                yield from FreeConnexEnumerator(query, db, engine=engine,
-                                                block_size=block_size)
-            else:
-                from repro.enumeration.acq_linear import LinearDelayACQEnumerator
+                return iter(FreeConnexEnumerator(query, db, engine=engine,
+                                                 block_size=block_size))
+            from repro.enumeration.acq_linear import LinearDelayACQEnumerator
 
-                yield from LinearDelayACQEnumerator(query, db, engine=engine)
-            return
+            return iter(LinearDelayACQEnumerator(query, db, engine=engine))
         from repro.eval.naive import evaluate_cq_naive
 
-        yield from sorted(evaluate_cq_naive(query, db), key=repr)
-        return
+        return iter(sorted(evaluate_cq_naive(query, db), key=repr))
     if isinstance(query, UnionOfConjunctiveQueries):
         from repro.enumeration.ucq_union import enumerate_ucq
 
-        yield from enumerate_ucq(query, db, engine=engine,
-                                 block_size=block_size)
-        return
+        return iter(enumerate_ucq(query, db, engine=engine,
+                                  block_size=block_size))
     if isinstance(query, NegativeConjunctiveQuery):
         from repro.csp.ncq_solver import ncq_answers
 
-        yield from sorted(ncq_answers(query, db), key=repr)
-        return
+        return iter(sorted(ncq_answers(query, db), key=repr))
     if isinstance(query, Formula):
         from repro.eval.naive import fo_answers
 
@@ -113,8 +111,7 @@ def _enumerate_answers(query: QueryLike, db: Database, engine=None,
                 "free second-order variables: use "
                 "repro.enumeration.gray.Sigma0SOEnumerator"
             )
-        yield from sorted(fo_answers(query, db), key=repr)
-        return
+        return iter(sorted(fo_answers(query, db), key=repr))
     raise UnsupportedQueryError(f"cannot enumerate {type(query).__name__}")
 
 

@@ -150,10 +150,10 @@ class FreeConnexEnumerator(Enumerator):
         return ("enum", inner)
 
     def _enumerate(self) -> Iterator[Answer]:
+        # the inner stream itself, not a generator around it: no frame
+        # of this class sits between the kernel and the consumer
         if self.cq.is_boolean():
-            if self._boolean_true:
-                yield ()
-            return
+            return iter([()] if self._boolean_true else [])
         if self._inner is None:
-            return
-        yield from self._inner._enumerate()
+            return iter(())
+        return self._inner._enumerate()

@@ -18,11 +18,20 @@ Global consistency is the caller's responsibility; for safety the
 constructor can run a full-reducer pass (pairwise consistency along a join
 tree implies global consistency for acyclic schemes — Beeri, Fagin, Maier,
 Yannakakis 1983).
+
+The tuple path runs the nested probes block-at-a-time: an explicit-stack
+DFS over steps fixed at preprocessing time fills a block of answers per
+resumption, with blocks doubling from one answer up to the block size.
+Delay is recorded once per block, so the bound becomes O(block x depth)
+per block boundary; ``block_size <= 0`` keeps blocks of one answer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+import time
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import NotAcyclicError
@@ -33,10 +42,8 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree, build_join_tree
 from repro.logic.terms import Variable
 
-
-#: answers amortised into one registry call on the tuple-path probe
-#: join (mirrors the batched pipeline's per-block recording)
-_DELAY_STRIDE = 256
+#: a tuple-to-tuple column picker (an ``operator.itemgetter``)
+_Getter = Callable[[Answer], Answer]
 
 
 def reduce_relations(tree: JoinTree, relations: List[VarRelation],
@@ -84,11 +91,14 @@ class FullJoinEnumerator(Enumerator):
         global consistency; set False only when the inputs are known
         consistent (saves one linear pass).
     block_size:
-        Amortisation block size for the batched columnar pipeline
-        (:class:`repro.engine.enumerate.BlockIterator`).  Used only when
-        every relation is a ColumnarRelation over one shared dictionary;
-        ``None`` consults ``REPRO_BLOCK_SIZE`` (default 1024), and a
-        value <= 0 forces the tuple-at-a-time path.
+        Amortisation block size.  When every relation is a
+        ColumnarRelation over one shared dictionary it is the batched
+        pipeline's block (:class:`repro.engine.enumerate.BlockIterator`);
+        otherwise the tuple-path probe join emits blocks that double
+        from one answer up to it.  ``None`` consults
+        ``REPRO_BLOCK_SIZE`` (default 1024); a value <= 0 forces the
+        tuple path with blocks of one answer, the strict per-answer
+        delay bound.
     engine:
         Backend selection (an Engine, a name, or None for the current
         process-wide selection).  An engine with worker-pool hooks routes
@@ -117,8 +127,12 @@ class FullJoinEnumerator(Enumerator):
                 f"join={sorted(v.name for v in all_vars)}"
             )
         self._tree: Optional[JoinTree] = None
-        self._order: List[int] = []
-        self._probe_vars: List[Tuple[Variable, ...]] = []
+        # tuple path: the root's tuples, one (index, key, new) step per
+        # later preorder node, and the binding-to-head reorder (or None)
+        self._root: List[Answer] = []
+        self._steps: Tuple[Tuple[Dict[Answer, List[Answer]], _Getter,
+                                 _Getter], ...] = ()
+        self._finish: Optional[_Getter] = None
         self._empty = False
 
     # ------------------------------------------------------------ preprocess
@@ -151,109 +165,141 @@ class FullJoinEnumerator(Enumerator):
                     self._relations, self._head, block_size=self._block_size,
                     tree=self._tree, reduce=False)
             return
-        # DFS preorder; for each node, the probe variables (shared with parent)
-        self._order = self._tree.top_down()
-        self._probe_vars = []
-        for node in self._order:
-            parent = self._tree.parent[node]
-            if parent is None:
-                self._probe_vars.append(())
-            else:
-                parent_vars = set(self._relations[parent].variables)
-                self._probe_vars.append(tuple(
-                    v for v in self._relations[node].variables if v in parent_vars
-                ))
-        # warm the probe indexes during preprocessing, not mid-enumeration
-        with obs.span("full_join.index_build", nodes=len(self._order)):
-            for node, pv in zip(self._order, self._probe_vars):
-                self._relations[node].index_on(pv)
+        # DFS preorder.  Each node's variables bound by earlier nodes are
+        # exactly those shared with its parent (running intersection),
+        # so one probe of a warmed index per node suffices.  Partial
+        # answers are value tuples in binding order: the root's
+        # variables, then each later node's new ones.
+        order = self._tree.top_down()
+        root = self._relations[order[0]]
+        slot: Dict[Variable, int] = {v: i for i, v in enumerate(root.variables)}
+        steps = []
+        with obs.span("full_join.index_build", nodes=len(order)):
+            self._root = root.index_on(()).get((), [])
+            for node in order[1:]:
+                rel = self._relations[node]
+                probe = tuple(v for v in rel.variables if v in slot)
+                new = [i for i, v in enumerate(rel.variables) if v not in slot]
+                key = _getter([slot[v] for v in probe])
+                for i in new:
+                    slot[rel.variables[i]] = len(slot)
+                steps.append((rel.index_on(probe), key, _getter(new)))
+        self._steps = tuple(steps)
+        head_slots = [slot[v] for v in self._head]
+        if head_slots != list(range(len(head_slots))):
+            self._finish = itemgetter(*head_slots)
 
     # ------------------------------------------------------------- enumerate
 
     def blocks(self) -> Iterator[List[Answer]]:
-        """Answer blocks of size <= block_size (preprocesses if needed).
+        """Answer blocks (preprocesses if needed).
 
-        On the batched path these are the kernel's native blocks; on the
-        tuple path the per-tuple stream is chunked, so consumers can be
-        written block-at-a-time against either backend.
-        """
+        On the batched path these are the columnar kernel's blocks; on
+        the tuple path they are the probe join's own: the first holds
+        one answer and each later one doubles, up to ``block_size``
+        (blocks of one when ``block_size <= 0``)."""
         self.preprocess()
+        if self._empty:
+            return iter(())
         if self._block_iter is not None:
-            yield from self._block_iter.blocks()
-            return
-        block_size = max(1, self._block_size)
-        block: List[Answer] = []
-        for tup in self._enumerate():
-            block.append(tup)
-            if len(block) >= block_size:
-                yield block
-                block = []
-        if block:
-            yield block
+            return self._block_iter.blocks()
+        return _recorded(self._probe_join(max(1, self._block_size)))
 
     def _enumerate(self) -> Iterator[Answer]:
-        if self._empty:
+        return chain.from_iterable(self.blocks())
+
+    def _probe_join(self, cap: int) -> Iterator[List[Answer]]:
+        """The probe join as an explicit-stack DFS, one block per
+        resumption.
+
+        The stack holds one iterator of partial answers per level above
+        the leaf; each leaf bucket becomes answers by concatenating its
+        new columns onto the partial.  A bucket larger than the room
+        left in the block is sliced and resumed in the next block, so no
+        block exceeds its limit and the work between two yields is
+        O(limit x depth).  Buckets are read with ``get``: a probe that
+        misses (only possible on unreduced inputs) is a dead end, not
+        an error."""
+        root, steps, finish = self._root, self._steps, self._finish
+        limit = 1
+        if not steps:
+            start = 0
+            while start < len(root):
+                block = root[start:start + limit]
+                start += limit
+                limit = min(2 * limit, cap)
+                yield list(map(finish, block)) if finish else block
             return
-        if self._block_iter is not None:
-            yield from self._block_iter
-            return
-        if obs.registry().enabled:
-            yield from self._enumerate_recorded()
-            return
-        yield from self._probe_join()
-
-    def _enumerate_recorded(self) -> Iterator[Answer]:
-        """The tuple-path probe join with amortised delay recording.
-
-        The batched pipeline records one ``obs.delay`` per kernel block
-        (see :meth:`repro.engine.enumerate.BlockIterator.blocks`); the
-        tuple path has no native blocks, so production gaps are summed
-        across ``_DELAY_STRIDE`` answers before one registry call.
-        Clock reads bracket each yield, so consumer time between
-        answers never inflates the delay sketch."""
-        import time
-
-        clock = time.perf_counter_ns
-        produced = 0
-        gap_acc = 0
-        last = clock()
-        for tup in self._probe_join():
-            gap_acc += clock() - last
-            produced += 1
-            yield tup
-            last = clock()
-            if produced >= _DELAY_STRIDE:
-                obs.count("enum.answers", produced)
-                obs.delay(gap_acc, produced)
-                produced = 0
-                gap_acc = 0
-        if produced:
-            obs.count("enum.answers", produced)
-            obs.delay(gap_acc, produced)
-
-    def _probe_join(self) -> Iterator[Answer]:
-        order = self._order
-        relations = self._relations
-        probe_vars = self._probe_vars
-        head = self._head
-        assignment: Dict[Variable, Any] = {}
-
-        def rec(i: int) -> Iterator[Answer]:
-            if i == len(order):
-                yield tuple(assignment[v] for v in head)
+        *inner, (leaf_index, leaf_key, leaf_new) = steps
+        depth = len(steps)  # levels above the leaf: the root + inner
+        stack = [iter(root)]
+        pending = None  # (partial, bucket, start) of a sliced leaf bucket
+        while True:
+            block: List[Answer] = []
+            extend = block.extend
+            room = limit
+            if pending is not None:
+                part, bucket, start = pending
+                end = start + room
+                extend(map(part.__add__, map(leaf_new, bucket[start:end])))
+                if end < len(bucket):
+                    pending = (part, bucket, end)
+                    room = 0
+                else:
+                    pending = None
+                    room -= len(bucket) - start
+            while room and stack:
+                if len(stack) < depth:
+                    part = next(stack[-1], None)
+                    if part is None:
+                        stack.pop()
+                        continue
+                    index, key, new = inner[len(stack) - 1]
+                    stack.append(map(part.__add__,
+                                     map(new, index.get(key(part), ()))))
+                    continue
+                for part in stack[-1]:
+                    bucket = leaf_index.get(leaf_key(part), ())
+                    size = len(bucket)
+                    if size < room:
+                        extend(map(part.__add__, map(leaf_new, bucket)))
+                        room -= size
+                        continue
+                    extend(map(part.__add__, map(leaf_new, bucket[:room])))
+                    if size > room:
+                        pending = (part, bucket, room)
+                    room = 0
+                    break
+                else:
+                    stack.pop()
+            if not block:
                 return
-            node = order[i]
-            rel = relations[node]
-            pv = probe_vars[i]
-            key = tuple(assignment[v] for v in pv)
-            for t in rel.index_on(pv).get(key, ()):
-                added = []
-                for v, val in zip(rel.variables, t):
-                    if v not in assignment:
-                        assignment[v] = val
-                        added.append(v)
-                yield from rec(i + 1)
-                for v in added:
-                    del assignment[v]
+            limit = min(2 * limit, cap)
+            yield list(map(finish, block)) if finish else block
 
-        yield from rec(0)
+
+def _getter(positions: Sequence[int]) -> _Getter:
+    """A getter that always returns a tuple: a slice when ``positions``
+    are contiguous (so zero or one position still yields a tuple),
+    otherwise an ``itemgetter`` over two or more positions."""
+    first = positions[0] if positions else 0
+    if list(positions) == list(range(first, first + len(positions))):
+        return itemgetter(slice(first, first + len(positions)))
+    return itemgetter(*positions)
+
+
+def _recorded(blocks: Iterator[List[Answer]]) -> Iterator[List[Answer]]:
+    """Pass ``blocks`` through, recording each block's answer count and
+    production time (one ``obs.count`` and one ``obs.delay`` per block).
+    The clock covers only the producer's resumption, so time the
+    consumer spends between blocks never reaches the delay sketch."""
+    clock = time.perf_counter_ns
+    while True:
+        began = clock()
+        block = next(blocks, None)
+        if block is None:
+            return
+        n = len(block)
+        obs.count("enum.answers", n)
+        obs.delay(clock() - began, n)
+        yield block

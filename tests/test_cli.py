@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import build_parser, load_csv_database, main
+from repro.cli import EXIT_REJECTED, build_parser, load_csv_database, main
 
 
 @pytest.fixture
@@ -72,6 +74,38 @@ def test_bench_delay_command(capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "Q(x) :- R(x,y), S(y"], "unexpected end of query"),
+    (["run", "Q(x) :- R(x, y), S(y, z, w)"], "has arity 3"),
+    (["run", "Q(x) :- R(x, y), T(y, z)"], "no relation named 'T'"),
+])
+def test_rejected_input_is_one_line_error(argv, message, tables, capsys):
+    if argv[0] == "run":
+        argv = argv + ["--data", tables]
+    assert main(argv) == EXIT_REJECTED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("repro: error: ") and message in lines[0]
+
+
+def test_rejected_input_process_exit_code():
+    """The installed entry point exits with the documented code, distinct
+    from argparse's usage error, and prints no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    bad = subprocess.run(
+        [sys.executable, "-m", "repro", "classify", "Q(x) :- R(x,y), S(y"],
+        capture_output=True, text=True, env=env)
+    assert bad.returncode == EXIT_REJECTED != 2
+    assert bad.stderr.splitlines() == [
+        "repro: error: unexpected end of query: 'Q(x) :- R(x,y), S(y'"]
+    usage = subprocess.run([sys.executable, "-m", "repro", "classify"],
+                           capture_output=True, text=True, env=env)
+    assert usage.returncode == 2
 
 
 def test_doctor_command(capsys):
