@@ -106,19 +106,35 @@ def _parse_value(text: str) -> Any:
 
 
 def load_csv_database(directory: str) -> Database:
-    """Load every ``*.csv`` in ``directory`` as one relation each."""
+    """Load every ``*.csv`` in ``directory`` as one relation each.
+
+    A missing or unreadable directory or file raises
+    :class:`~repro.errors.ReproError`: the data is rejected, like a
+    malformed tuple."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise ReproError(
+            f"cannot read data directory {directory!r}: "
+            f"{exc.strerror or exc}") from None
     db = Database()
-    for name in sorted(os.listdir(directory)):
+    for name in names:
         if not name.endswith(".csv"):
             continue
         rel_name = name[:-4]
         rows: List[tuple] = []
-        with open(os.path.join(directory, name)) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rows.append(tuple(_parse_value(v) for v in line.split(",")))
+        path = os.path.join(directory, name)
+        try:
+            with open(path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    rows.append(tuple(_parse_value(v)
+                                      for v in line.split(",")))
+        except OSError as exc:
+            raise ReproError(f"cannot read {path!r}: "
+                             f"{exc.strerror or exc}") from None
         if not rows:
             continue
         rel = Relation(rel_name, len(rows[0]), rows)
@@ -160,9 +176,20 @@ def _select_engine(args: argparse.Namespace) -> None:
         set_incremental_enabled(incremental)
 
 
+def _engine_name(name: str) -> str:
+    """argparse type of engine flags: a registered backend name."""
+    from repro.engine import available_engines
+
+    if name not in available_engines():
+        raise argparse.ArgumentTypeError(
+            f"unknown engine {name!r} (choose from "
+            f"{', '.join(available_engines())})")
+    return name
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     """The shared enumeration-pipeline knobs (--engine and friends)."""
-    p.add_argument("--engine", default=None,
+    p.add_argument("--engine", default=None, type=_engine_name,
                    help="relational backend: tuple (default), columnar, "
                         "parallel, or compiled — radix hash kernels, "
                         "numba-JITed when installed, numpy fallback "
@@ -1316,7 +1343,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time the relational kernel per backend")
     p.add_argument("--sizes", type=int, nargs="+",
                    default=[10000, 30000, 100000])
-    p.add_argument("--engines", nargs="+", default=None,
+    p.add_argument("--engines", nargs="+", default=None, type=_engine_name,
                    help="backends to time (default: all registered)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--output", default="BENCH_core.json")

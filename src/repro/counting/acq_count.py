@@ -6,27 +6,35 @@ Three levels, matching the paper's tractability ladder:
   tree: the #F-ACQ^0 algorithm behind Theorem 4.21.  One bottom-up DP
   pass; each node aggregates its children's sums through hash probes, so
   the cost is O(||phi|| * ||D||) (better than the O(||phi|| * ||D||^2)
-  the theorem quotes).
+  the theorem quotes).  It needs no semijoin reduction first: a row with
+  no extension below finds no child message and adds nothing.
 * :func:`count_quantifier_free_acyclic` — the same on a query + database.
-* :func:`count_acq` — general ACQs via the quantified-star-size
-  decomposition of Theorem 4.28: S-components are collapsed to relations
-  over their free variables (candidate generation over a covering set of
-  s = star-size atoms, then per-candidate satisfiability filtering), and
-  the resulting quantifier-free acyclic query is counted by the DP.
-  Total time ||D||^{O(s)}.
+  The rows come from :func:`repro.eval.yannakakis.scan_atoms`, so on the
+  tuple engine an atom whose terms are distinct variables is read from
+  the stored relation with no copy.
+* :func:`count_acq` — general ACQs.  A quantifier-free ACQ goes straight
+  to the DP above.  Otherwise the quantified-star-size decomposition of
+  Theorem 4.28 collapses S-components to relations over their free
+  variables (candidate generation over a covering set of s = star-size
+  atoms of the fully reduced relations, then per-candidate satisfiability
+  filtering), and the resulting quantifier-free acyclic query is counted
+  by the DP.  Total time ||D||^{O(s)}.
 
 Cross-validation baseline: :func:`count_cq_naive`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from itertools import repeat
+from operator import mul
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.data.database import Database
 from repro.counting.weighted import WeightFunction
 from repro.errors import NotAcyclicError, UnsupportedQueryError
-from repro.eval.join import VarRelation
+from repro.eval.join import VarRelation, key_getter
 from repro.eval.naive import cq_is_satisfiable_naive, evaluate_cq_naive
 from repro.eval.yannakakis import full_reducer, yannakakis_boolean
 from repro.hypergraph.components import free_cover_atoms, s_components
@@ -153,46 +161,61 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
                     return int(total)
                 return total
 
-    # messages[child]: key over shared-with-parent vars -> sum of weights
+    # messages[node]: key over the variables shared with the parent ->
+    # sum of the weights of the node's subtree extensions; one bottom-up
+    # pass, stopping at the first empty message (the join is then empty)
     with obs.span("count.message_passing", backend="tuple",
                   nodes=len(relations)):
-        messages: Dict[int, Dict[Tuple[Any, ...], Any]] = {}
+        messages: Dict[int, Dict[Any, Any]] = {}
         for node in tree.bottom_up():
             rel = relations[node]
-            shared = share_vars[node]
-            charged_pos = [rel.position(v) for v in charged[node]]
-            shared_pos = [rel.position(v) for v in shared]
-            child_info = [
-                (messages[c],
-                 [rel.position(v) for v in share_vars[c]])
-                for c in tree.children[node]
-            ]
-            msg: Dict[Tuple[Any, ...], Any] = {}
-            for t in rel:
-                value: Any = 1
-                for v_pos in charged_pos:
-                    value = value * w(t[v_pos])
-                dead = False
-                for child_msg, key_pos in child_info:
-                    factor = child_msg.get(tuple(t[p] for p in key_pos))
-                    if factor is None:
-                        dead = True
-                        break
-                    value = value * factor
-                if dead:
-                    continue
-                key = tuple(t[p] for p in shared_pos)
-                msg[key] = msg.get(key, 0) + value
+            key = key_getter(rel, share_vars[node])
+            children = [(messages.pop(c).get, key_getter(rel, share_vars[c]))
+                        for c in tree.children[node]]
+            charged_pos = None if unweighted else \
+                [rel.position(v) for v in charged[node]]
+            if not charged_pos and node == tree.root:
+                # the root's message has the one key (): the sum over its
+                # rows of the product of their child factors (0 where a
+                # child has no message for the row)
+                products = repeat(1, len(rel))
+                for get, child_key in children:
+                    products = map(mul, products,
+                                   map(get, map(child_key, rel), repeat(0)))
+                return sum(products)
+            if not children and not charged_pos:
+                msg: Dict[Any, Any] = Counter(map(key, rel))
+            else:
+                msg = {}
+                for t in rel:
+                    value: Any = 1
+                    if charged_pos:
+                        for p in charged_pos:
+                            value = value * w(t[p])
+                    for get, child_key in children:
+                        factor = get(child_key(t))
+                        if factor is None:
+                            break
+                        value = value * factor
+                    else:
+                        k = key(t)
+                        msg[k] = msg.get(k, 0) + value
+            if not msg:
+                return 0
             messages[node] = msg
-
-        root_msg = messages[tree.root]
-        return root_msg.get((), 0)
+        return messages[tree.root].get((), 0)
 
 
 def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,
                                   weights: Optional[WeightFunction] = None,
                                   engine=None) -> Any:
-    """#F-ACQ^0 (Theorem 4.21): weighted count of a projection-free ACQ."""
+    """#F-ACQ^0 (Theorem 4.21): weighted count of a projection-free ACQ.
+
+    One DP pass over the atoms' rows as the engine scans them
+    (:func:`repro.eval.yannakakis.scan_atoms`); with incremental mode on,
+    an unweighted count is served by a maintained
+    :class:`~repro.dynamic.delta.DeltaCounter` instead.
+    """
     if not cq.is_quantifier_free():
         raise UnsupportedQueryError(
             "count_quantifier_free_acyclic needs a quantifier-free query; "
@@ -221,9 +244,9 @@ def count_quantifier_free_acyclic(cq: ConjunctiveQuery, db: Database,
                     lambda: DeltaCounter.build(cq, db),
                     refresher=lambda st, deltas: st.refreshed(deltas))
                 return state.total()
-    from repro.eval.yannakakis import materialise_atoms
+    from repro.eval.yannakakis import scan_atoms
 
-    return count_full_acyclic_join(materialise_atoms(cq, db, engine), weights,
+    return count_full_acyclic_join(scan_atoms(cq, db, engine), weights,
                                    engine=engine)
 
 
@@ -341,6 +364,11 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
     """#ACQ via quantified star size (Theorem 4.28): weighted count of the
     *answers* (distinct head tuples) of an acyclic CQ.
 
+    A quantifier-free ACQ is counted by one bottom-up DP pass over its
+    atoms' rows (:func:`count_quantifier_free_acyclic`, Theorem 4.21),
+    with no reduction and no derived relations.  Queries with quantified
+    variables go through :func:`derive_counting_join` first.
+
     Weights apply to the free variables (answers are tuples over the
     head), matching the #F-CQ definition of Section 4.4.
     """
@@ -349,19 +377,9 @@ def count_acq(cq: ConjunctiveQuery, db: Database,
     if not cq.is_acyclic():
         raise NotAcyclicError(f"query {cq!r} is not acyclic; use count_cq_naive")
     if cq.is_quantifier_free():
-        from repro.core.plancache import incremental_enabled, plan_cache_enabled
-
-        if incremental_enabled() and plan_cache_enabled():
-            from repro.dynamic.delta import DeltaCounter
-
-            # quantifier-free answers are exactly the join rows, so the
-            # star-size decomposition is the identity here; route
-            # straight to the maintained Theorem 4.21 DP
-            unweighted = weights is None or (
-                isinstance(weights, WeightFunction) and weights.is_ones())
-            if unweighted and DeltaCounter.supports(cq):
-                return count_quantifier_free_acyclic(cq, db, weights,
-                                                     engine=engine)
+        # the answers are exactly the join rows: the star-size
+        # decomposition is the identity, so count with the DP directly
+        return count_quantifier_free_acyclic(cq, db, weights, engine=engine)
     with obs.span("count.acq", atoms=len(cq.atoms)):
         derived = derive_counting_join(cq, db, engine=engine)
         if derived is None:

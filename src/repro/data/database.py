@@ -64,8 +64,7 @@ class Database:
         if rel.name in self._relations:
             raise MalformedQueryError(f"duplicate relation name {rel.name!r}")
         self._relations[rel.name] = rel
-        for value in rel.domain_values():
-            self._domain.setdefault(value, None)
+        self._domain.update(dict.fromkeys(rel.domain_values()))
 
     def add_domain_values(self, values: Iterable[Any]) -> None:
         for value in values:

@@ -127,8 +127,14 @@ class Relation:
         # ago, for incremental plan refresh (repro.core.plancache)
         self._deltalog = DeltaLog()
         if tuples is not None:
-            for t in tuples:
-                self.add(t)
+            # initial contents, not mutations: the serial is new, so no
+            # plan can predate them and neither version nor log moves
+            self._tuples = dict.fromkeys(map(tuple, tuples))
+            if set(map(len, self._tuples)) - {arity}:
+                bad = next(t for t in self._tuples if len(t) != arity)
+                raise MalformedQueryError(
+                    f"relation {name!r} has arity {arity}, got tuple of "
+                    f"length {len(bad)}")
 
     # ------------------------------------------------------------------ basic
 

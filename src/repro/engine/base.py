@@ -41,6 +41,13 @@ class Engine:
         repeated variables resolved)."""
         raise NotImplementedError
 
+    def scan_atom(self, db: Database, atom: Atom):
+        """The rows of one atom for a read-only pass (the counting DP,
+        the Boolean pass): the caller iterates and never mutates them, so
+        a backend may read the stored relation in place.  Defaults to
+        :meth:`materialise_atom`."""
+        return self.materialise_atom(db, atom)
+
     def from_relation(self, rel):
         """Convert a relation of any backend into this backend
         (no copy when it already belongs here)."""
@@ -109,6 +116,17 @@ class TupleEngine(Engine):
             ("rows", sig),
             lambda: atom_to_varrelation(db, atom).tuples())
         return VarRelation(atom.variables(), rows)
+
+    def scan_atom(self, db: Database, atom: Atom):
+        """An atom whose terms are distinct variables has the stored
+        tuples as its rows, so it is read through an
+        :class:`~repro.eval.join.AtomScan` view with no copy; any other
+        atom is materialised."""
+        from repro.eval.join import AtomScan
+
+        if len(atom.variables()) == atom.arity:
+            return AtomScan(db, atom)
+        return self.materialise_atom(db, atom)
 
     def from_relation(self, rel):
         from repro.eval.join import VarRelation

@@ -5,10 +5,15 @@ variables — the working representation inside all join-tree algorithms.
 It supports hash-join, semijoin and projection, and builds per-variable-
 subset hash indexes lazily (mirroring :class:`repro.data.relation.Relation`
 but keyed by variables instead of positions).
+
+An :class:`AtomScan` is the read-only counterpart for atoms whose terms
+are distinct variables: the stored tuples under the atom's variables,
+with no copy.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
@@ -164,6 +169,65 @@ class VarRelation:
         return out
 
 
+class AtomScan:
+    """The rows of an atom whose terms are distinct variables, read in
+    place: the stored tuples of its relation, in storage order, under the
+    atom's variables (term ``i`` names column ``i``).
+
+    A read-only pass (the counting DP, the Boolean pass) needs only
+    ``variables``, ``position``, ``len`` and iteration, so nothing is
+    copied.  The view must not outlive a write to the relation it reads.
+    """
+
+    __slots__ = ("variables", "_rel", "_positions")
+
+    def __init__(self, db: Database, atom: Atom):
+        rel = db.relation(atom.relation)
+        _check_arity(rel, atom)
+        self.variables: Tuple[Variable, ...] = atom.variables()
+        self._rel = rel
+        self._positions: Dict[Variable, int] = {
+            v: i for i, v in enumerate(self.variables)}
+
+    def __iter__(self) -> Iterator[Tup]:
+        return iter(self._rel)
+
+    def __len__(self) -> int:
+        return len(self._rel)
+
+    def __repr__(self) -> str:
+        names = ",".join(v.name for v in self.variables)
+        return f"AtomScan({self._rel.name}[{names}], size={len(self)})"
+
+    def position(self, v: Variable) -> int:
+        return self._positions[v]
+
+    def has_variable(self, v: Variable) -> bool:
+        return v in self._positions
+
+
+def key_getter(rel, variables: Sequence[Variable]):
+    """A function from a row of ``rel`` to its values on ``variables``:
+    a tuple, except a bare value for one variable.  Two getters over the
+    same variable tuple agree on the key shape, which is all a hash probe
+    between two relations needs."""
+    if not variables:
+        return _empty_key
+    return itemgetter(*[rel.position(v) for v in variables])
+
+
+def _empty_key(row: Tup) -> Tup:
+    return ()
+
+
+def _check_arity(rel, atom: Atom) -> None:
+    if rel.arity != atom.arity:
+        raise SchemaMismatchError(
+            f"atom {atom!r} has arity {atom.arity} but relation "
+            f"{atom.relation!r} has arity {rel.arity}"
+        )
+
+
 def atom_to_varrelation(db: Database, atom: Atom) -> VarRelation:
     """Materialise an atom against the database.
 
@@ -178,11 +242,7 @@ def atom_to_varrelation(db: Database, atom: Atom) -> VarRelation:
     from repro.logic.terms import Constant
 
     rel = db.relation(atom.relation)
-    if rel.arity != atom.arity:
-        raise SchemaMismatchError(
-            f"atom {atom!r} has arity {atom.arity} but relation "
-            f"{atom.relation!r} has arity {rel.arity}"
-        )
+    _check_arity(rel, atom)
     variables = atom.variables()
     first_pos: Dict[Variable, int] = {}
     const_positions: List[int] = []

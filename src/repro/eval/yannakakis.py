@@ -8,7 +8,11 @@ Three entry points:
   least one satisfying assignment of the whole body.  Cost O(||phi||
   * ||D||) up to hashing.
 * :func:`yannakakis_boolean` — Boolean answering: the query is satisfiable
-  iff no relation becomes empty during the bottom-up pass.
+  iff no relation becomes empty during the bottom-up pass.  On tuple-backed
+  relations the pass keeps only keys: per node, the set of its values on
+  the variables shared with its parent, taken from the rows whose child
+  keys are all present.  The stored relations are read in place
+  (:func:`scan_atoms`) and nothing is copied.
 * :func:`yannakakis` — full output-sensitive evaluation: after reduction,
   a bottom-up join keeps, at each node, only the columns that are free or
   still needed higher up, so intermediate results stay within
@@ -23,12 +27,13 @@ given, one is built once per hypergraph and memoised
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import obs
 from repro.data.database import Database
 from repro.errors import NotAcyclicError
-from repro.eval.join import VarRelation, atom_to_varrelation
+from repro.eval.join import AtomScan, VarRelation, key_getter
 from repro.hypergraph.jointree import JoinTree, build_join_tree, cached_join_tree
 from repro.logic.cq import ConjunctiveQuery
 from repro.logic.terms import Variable
@@ -52,6 +57,18 @@ def materialise_atoms(cq: ConjunctiveQuery, db: Database,
         out = [eng.materialise_atom(db, atom) for atom in cq.atoms]
         sp.set("rows", sum(len(r) for r in out))
         return out
+
+
+def scan_atoms(cq: ConjunctiveQuery, db: Database,
+               engine: EngineLike = None) -> List:
+    """One relation per atom for a read-only pass, in the selected
+    backend's representation (:meth:`~repro.engine.Engine.scan_atom`):
+    the tuple engine reads an atom whose terms are distinct variables
+    from the stored relation, and materialises the others."""
+    eng = _engine(engine)
+    with obs.span("yannakakis.scan_atoms", atoms=len(cq.atoms),
+                  engine=eng.name):
+        return [eng.scan_atom(db, atom) for atom in cq.atoms]
 
 
 def _traced_semijoin(left: VarRelation, right: VarRelation, phase: str,
@@ -212,12 +229,19 @@ def _full_reduce(cq: ConjunctiveQuery, db: Database, tree: JoinTree,
 def yannakakis_boolean(cq: ConjunctiveQuery, db: Database,
                        tree: Optional[JoinTree] = None,
                        engine: EngineLike = None) -> bool:
-    """Satisfiability of an acyclic (Boolean or not) body in O(||phi||*||D||)."""
+    """Satisfiability of an acyclic (Boolean or not) body in O(||phi||*||D||).
+
+    One bottom-up pass over the atoms' rows (:func:`scan_atoms`).  On
+    tuple-backed relations it keeps keys only (:func:`_keys_pass`);
+    columnar relations run the bottom-up semijoins.
+    """
     if tree is None:
         tree = cached_join_tree(cq.hypergraph())
-    relations = materialise_atoms(cq, db, engine)
+    relations = scan_atoms(cq, db, engine)
     if any(len(r) == 0 for r in relations):
         return False
+    if all(isinstance(r, (VarRelation, AtomScan)) for r in relations):
+        return _keys_pass(tree, relations)
     for node in tree.bottom_up():
         parent = tree.parent[node]
         if parent is not None:
@@ -225,7 +249,50 @@ def yannakakis_boolean(cq: ConjunctiveQuery, db: Database,
                 relations[parent], relations[node], "boolean_bottom_up", parent)
             if len(relations[parent]) == 0:
                 return False
-    return all(len(relations[n]) > 0 for n in tree.nodes())
+    return True
+
+
+def _keys_pass(tree: JoinTree, relations: Sequence) -> bool:
+    """The bottom-up Boolean pass on key sets.
+
+    A node's rows survive when each child's key set holds their values on
+    the variables they share with that child; the node hands its parent
+    the set of its survivors' values on the variables they share.  An
+    empty set ends the pass with False; the first surviving root row
+    ends it with True.  Rows are read, never copied or indexed.
+    """
+    passed: Dict[int, Tuple[set, Tuple[Variable, ...]]] = {}
+
+    def checks(node: int) -> List:
+        rel = relations[node]
+        out = []
+        for child in tree.children[node]:
+            keys, shared = passed.pop(child)
+            out.append((keys.__contains__, key_getter(rel, shared)))
+        return out
+
+    def surviving(rows, node_checks):
+        for present, key in node_checks:
+            rows = list(compress(rows, map(present, map(key, rows))))
+        return rows
+
+    with obs.span("yannakakis.boolean_keys", nodes=len(relations)):
+        *below, root = tree.bottom_up()
+        for node in below:
+            rel = relations[node]
+            above = relations[tree.parent[node]]
+            shared = tuple(v for v in rel.variables if above.has_variable(v))
+            rows = surviving(rel, checks(node))
+            keys = set(map(key_getter(rel, shared), rows))
+            if not keys:
+                return False
+            passed[node] = (keys, shared)
+        root_checks = checks(root)
+        if not root_checks:
+            return True  # the root relation is not empty
+        *first, (present, key) = root_checks
+        rows = surviving(relations[root], first)
+        return any(map(present, map(key, rows)))
 
 
 def yannakakis(cq: ConjunctiveQuery, db: Database,

@@ -80,16 +80,34 @@ def test_parser_requires_command():
     (["classify", "Q(x) :- R(x,y), S(y"], "unexpected end of query"),
     (["run", "Q(x) :- R(x, y), S(y, z, w)"], "has arity 3"),
     (["run", "Q(x) :- R(x, y), T(y, z)"], "no relation named 'T'"),
+    (["run", "Q(x) :- R(x, y)", "--data", "/nonexistent"],
+     "cannot read data directory '/nonexistent'"),
+    (["run", "Q(x) :- R(x, y)", "--engine", "bogus"],
+     "argument --engine: unknown engine 'bogus'"),
 ])
 def test_rejected_input_is_one_line_error(argv, message, tables, capsys):
-    if argv[0] == "run":
+    if argv[0] == "run" and "--data" not in argv:
         argv = argv + ["--data", tables]
-    assert main(argv) == EXIT_REJECTED
+    # a bad flag is argparse's usage error: usage lines, then one error
+    # line, exit 2
+    usage_error = message.startswith("argument ")
+    if usage_error:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        prefix = "repro run: error: "
+    else:
+        assert main(argv) == EXIT_REJECTED
+        prefix = "repro: error: "
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
+    if usage_error:
+        assert lines[0].startswith("usage: ")
+        lines = [line for line in lines if "error: " in line]
     assert len(lines) == 1, captured.err
-    assert lines[0].startswith("repro: error: ") and message in lines[0]
+    assert lines[0].startswith(prefix) and message in lines[0]
 
 
 def test_rejected_input_process_exit_code():
