@@ -25,6 +25,7 @@ Cross-validation baseline: :func:`count_cq_naive`.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import repeat
 from operator import mul
@@ -106,32 +107,28 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
             share_vars[node] = tuple(
                 v for v in relations[node].variables if v in parent_vars)
 
-    from repro.engine.columnar import ColumnarRelation, count_acyclic_join_columnar
-
+    # a columnar relation exists only once its module is loaded, so a
+    # tuple-engine count never imports numpy to rule the vectorized
+    # path out
+    columnar = sys.modules.get("repro.engine.columnar")
     unweighted = weights is None or (
         isinstance(weights, WeightFunction) and weights.is_ones())
-    if all(isinstance(r, ColumnarRelation)
-           and r.dictionary is relations[0].dictionary
-           for r in relations):
+    if columnar is not None and all(
+            isinstance(r, columnar.ColumnarRelation)
+            and r.dictionary is relations[0].dictionary
+            for r in relations):
         from repro.engine import resolve_engine
 
         eng = resolve_engine(engine)
         par = getattr(eng, "parallel_count", None)
         sharded = par is not None and eng.should_parallelise(relations)
-        # serial kernel override (the compiled engine's radix group
-        # tables); duck-typed like parallel_count
-        ckernel = getattr(eng, "count_acyclic", None)
         if unweighted:
             if sharded:
                 return par(relations, tree, charged, share_vars)
-            if ckernel is not None:
-                with obs.span("count.message_passing", backend=eng.name,
-                              nodes=len(relations)):
-                    return ckernel(relations, tree, charged, share_vars)
             with obs.span("count.message_passing", backend="columnar",
                           nodes=len(relations)):
-                return count_acyclic_join_columnar(relations, tree, charged,
-                                                   share_vars)
+                return columnar.count_acyclic_join_columnar(
+                    relations, tree, charged, share_vars)
         if isinstance(weights, WeightFunction):
             # weighted vectorized path: per-code weight gather; falls back
             # to the exact per-tuple DP when the weights aren't machine
@@ -143,17 +140,11 @@ def count_full_acyclic_join(relations: Sequence[VarRelation],
                 if sharded:
                     total = par(relations, tree, charged, share_vars,
                                 weight_table=table)
-                elif ckernel is not None:
-                    with obs.span("count.message_passing",
-                                  backend=f"{eng.name}_weighted",
-                                  nodes=len(relations)):
-                        total = ckernel(relations, tree, charged,
-                                        share_vars, weight_table=table)
                 else:
                     with obs.span("count.message_passing",
                                   backend="columnar_weighted",
                                   nodes=len(relations)):
-                        total = count_acyclic_join_columnar(
+                        total = columnar.count_acyclic_join_columnar(
                             relations, tree, charged, share_vars,
                             weight_table=table)
                 integral_weights = bool(np.all(table == np.floor(table)))

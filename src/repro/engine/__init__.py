@@ -8,17 +8,18 @@ on:
 * ``tuple``    — Python tuples in hash-indexed dicts (the default, exact
   seed behaviour);
 * ``columnar`` — dictionary-encoded numpy int64 columns with vectorized
-  sort/radix-grouped kernels (typically >= 3x faster on 100k-tuple
-  acyclic joins; see ``benchmarks/test_bench_engines.py``);
+  sort-grouped kernels (typically >= 3x faster on 100k-tuple acyclic
+  joins; see ``benchmarks/test_bench_engines.py``);
 * ``parallel`` — the columnar kernels fanned out over a spawn-based
   worker pool with shared-memory code columns (hash-sharded semijoins,
   counting and order-preserving block enumeration; serial fallback
-  below a tuple-count threshold — see :mod:`repro.engine.parallel`);
-* ``compiled`` — the columnar layout on radix-partitioned hash kernels,
-  JIT-compiled with numba when installed (transparent numpy fallback
-  otherwise — ``REPRO_COMPILED_FALLBACK``), with probe structures shared
-  per relation *symbol* across self-join atoms (see
-  :mod:`repro.engine.compiled` and :mod:`repro.engine.radix`).
+  below a tuple-count threshold — see :mod:`repro.engine.parallel`).
+
+Only ``tuple`` is built at import.  ``columnar`` and ``parallel`` (and
+numpy with them) load the first time a query selects them by name, so a
+process that never asks for them never imports them.  The numpy-backed
+names this package re-exports (``BlockIterator``, the parallel helpers,
+...) resolve on first attribute access the same way.
 
 Selection, in decreasing precedence:
 
@@ -31,44 +32,31 @@ Selection, in decreasing precedence:
 
 from __future__ import annotations
 
+import importlib
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.engine.base import ColumnarEngine, Engine, TupleEngine
-from repro.engine.compiled import CompiledEngine, CompiledRelation
-from repro.engine.enumerate import (
-    BLOCK_ENV_VAR,
-    DEFAULT_BLOCK_SIZE,
-    BlockIterator,
-    batchable,
-    block_enumerate,
-    resolve_block_size,
-)
-from repro.engine.parallel import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    THRESHOLD_ENV_VAR,
-    WORKERS_ENV_VAR,
-    ParallelBlockIterator,
-    ParallelEngine,
-    default_threshold,
-    default_workers,
-    pool_stats,
-    set_default_workers,
-    shutdown_pools,
-)
-from repro.engine.radix import (
-    FALLBACK_ENV_VAR,
-    HAVE_NUMBA,
-    RADIX_BITS_ENV_VAR,
-    kernel_tier,
-)
 
 DEFAULT_ENGINE = "tuple"
 ENV_VAR = "REPRO_ENGINE"
 
 _REGISTRY: Dict[str, Engine] = {}
 _SELECTED: Optional[str] = None
+
+
+def _parallel_engine() -> Engine:
+    from repro.engine.parallel import ParallelEngine
+
+    return ParallelEngine()
+
+
+#: backends built (and registered) the first time they are named
+_LAZY: Dict[str, Callable[[], Engine]] = {
+    "columnar": ColumnarEngine,
+    "parallel": _parallel_engine,
+}
 
 
 def register_engine(engine: Engine, replace: bool = False) -> Engine:
@@ -80,8 +68,19 @@ def register_engine(engine: Engine, replace: bool = False) -> Engine:
 
 
 def available_engines() -> List[str]:
-    """Names of all registered backends."""
-    return sorted(_REGISTRY)
+    """Names of all registered backends, built or not."""
+    return sorted(set(_REGISTRY) | set(_LAZY))
+
+
+def _lookup(name: str) -> Engine:
+    engine = _REGISTRY.get(name)
+    if engine is None:
+        factory = _LAZY.get(name)
+        if factory is None:
+            raise ValueError(
+                f"unknown engine {name!r}; available: {available_engines()}")
+        engine = _REGISTRY.setdefault(name, factory())
+    return engine
 
 
 def get_engine(name: Optional[str] = None) -> Engine:
@@ -93,19 +92,13 @@ def get_engine(name: Optional[str] = None) -> Engine:
     """
     if name is None:
         name = _SELECTED or os.environ.get(ENV_VAR) or DEFAULT_ENGINE
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {available_engines()}"
-        ) from None
+    return _lookup(name)
 
 
 def set_engine(name: Optional[str]) -> None:
     """Select the process-wide default backend (None resets to env/default)."""
-    if name is not None and name not in _REGISTRY:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {available_engines()}")
+    if name is not None:
+        _lookup(name)
     global _SELECTED
     _SELECTED = name
 
@@ -131,30 +124,41 @@ def resolve_engine(engine: Union[Engine, str, None]) -> Engine:
 
 
 register_engine(TupleEngine())
-register_engine(ColumnarEngine())
-register_engine(ParallelEngine())
-register_engine(CompiledEngine())
+
+#: numpy-backed re-exports, imported from their module on first access
+_LAZY_NAMES = {
+    "BLOCK_ENV_VAR": "repro.engine.enumerate",
+    "DEFAULT_BLOCK_SIZE": "repro.engine.enumerate",
+    "BlockIterator": "repro.engine.enumerate",
+    "batchable": "repro.engine.enumerate",
+    "block_enumerate": "repro.engine.enumerate",
+    "resolve_block_size": "repro.engine.enumerate",
+    "DEFAULT_PARALLEL_THRESHOLD": "repro.engine.parallel",
+    "THRESHOLD_ENV_VAR": "repro.engine.parallel",
+    "WORKERS_ENV_VAR": "repro.engine.parallel",
+    "ParallelBlockIterator": "repro.engine.parallel",
+    "ParallelEngine": "repro.engine.parallel",
+    "default_threshold": "repro.engine.parallel",
+    "default_workers": "repro.engine.parallel",
+    "pool_stats": "repro.engine.parallel",
+    "set_default_workers": "repro.engine.parallel",
+    "shutdown_pools": "repro.engine.parallel",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Engine",
     "TupleEngine",
     "ColumnarEngine",
-    "CompiledEngine",
-    "CompiledRelation",
-    "ParallelEngine",
-    "kernel_tier",
-    "HAVE_NUMBA",
-    "FALLBACK_ENV_VAR",
-    "RADIX_BITS_ENV_VAR",
-    "ParallelBlockIterator",
-    "default_workers",
-    "default_threshold",
-    "set_default_workers",
-    "shutdown_pools",
-    "pool_stats",
-    "DEFAULT_PARALLEL_THRESHOLD",
-    "WORKERS_ENV_VAR",
-    "THRESHOLD_ENV_VAR",
     "register_engine",
     "available_engines",
     "get_engine",
@@ -163,10 +167,5 @@ __all__ = [
     "resolve_engine",
     "DEFAULT_ENGINE",
     "ENV_VAR",
-    "BlockIterator",
-    "batchable",
-    "block_enumerate",
-    "resolve_block_size",
-    "DEFAULT_BLOCK_SIZE",
-    "BLOCK_ENV_VAR",
+    *_LAZY_NAMES,
 ]

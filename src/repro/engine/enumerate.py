@@ -181,16 +181,13 @@ class _BatchProbe:
 def build_probe(rel: ColumnarRelation, probe_vars: Sequence[Variable]):
     """The node's batch probe structure, memoised on the relation.
 
-    The probe's index (the argsort inside ``_BatchProbe``, or the radix
-    table of the compiled tier) is the expensive part of probe
-    construction; caching it on the relation
+    The probe's index (the argsort inside ``_BatchProbe``) is the
+    expensive part of probe construction; caching it on the relation
     (:meth:`ColumnarRelation.cached_probe`, shared across ``copy()``
     views and invalidated by the relation's version counter) means
     repeated enumerator builds over the same reduced relations — warm
     plan-cache runs, parallel enumeration workers, reruns at a different
-    block size — skip the rebuild entirely.  Dispatches through
-    :meth:`ColumnarRelation.batch_probe` so the compiled subclass can
-    substitute its position-keyed radix table.
+    block size — skip the rebuild entirely.
     """
     return rel.batch_probe(tuple(probe_vars))
 

@@ -3,21 +3,20 @@
 The unit of repeated work in a self-join query is the relation *symbol*,
 not the atom: ``R(x, y), R(y, z), R(z, x)`` names one stored relation
 three times, and every per-atom artefact — the dictionary encoding, the
-sorted/radix probe structures, the constant/duplicate-variable masks —
+sorted probe structures, the constant/duplicate-variable masks —
 depends only on the stored rows and the *positions* involved, never on
-the variable names the atom happens to use.  The compiled tier proved
-the idea for all-distinct-variable atoms; this module generalises it so
-every backend (tuple, columnar, parallel, compiled) shares one build per
-(symbol, database version):
+the variable names the atom happens to use.  This module lets every
+backend (tuple, columnar, parallel) share one build per (symbol,
+database version):
 
 * one **entry** per (symbol, stored-relation serial, version), LRU'd;
   the key names the stored relation by its process-unique
   :attr:`~repro.data.relation.Relation.serial`, so an entry needs no
   reference to the relation and never keeps it alive;
 * per entry, one shared position-keyed **probe cache** served to every
-  all-distinct-variable atom over the symbol (``_BatchProbe`` and radix
-  tables key on column positions, so ``R(x, y)`` and ``R(u, v)`` probing
-  column 0 resolve to the same structure);
+  all-distinct-variable atom over the symbol (``_BatchProbe`` keys on
+  column positions, so ``R(x, y)`` and ``R(u, v)`` probing column 0
+  resolve to the same structure);
 * per entry, a **variant** table keyed by the atom's constant/dup-var
   *signature* — ``R(x, x)`` and ``R(u, u)`` share one masked column set
   (and its own probe cache); ``R(3, x)`` and ``R(3, y)`` likewise —
@@ -38,7 +37,7 @@ serve the other.
 
 Counters: ``engine.symbol_workspace_{hits,misses,patches}`` aggregate
 across backends; ``<engine>.symbol_cache_{hits,misses,patches}`` keep
-the per-backend view (the compiled tier's historical names), and
+the per-backend view, and
 ``engine.symbol_workspace_variant_{hits,misses}`` track the masked-atom
 variants.
 """
@@ -184,8 +183,7 @@ class SymbolWorkspace:
         the old rows plus the appended ones at the end): each
         position-keyed probe entry with a merge path (sorted
         ``_BatchProbe``'s ``extended``) is carried forward in
-        O(delta + log n).  Radix tables have no merge path and rebuild
-        lazily; deletes or delta-log overflow migrate nothing — a cold
+        O(delta + log n).  Deletes or delta-log overflow migrate nothing — a cold
         rebuild is always sound.  Masked variants are never migrated:
         appended rows change their selections unpredictably.
         """
@@ -204,7 +202,7 @@ class SymbolWorkspace:
             extend = getattr(probe, "extended", None)
             if extend is None or not (
                     isinstance(pkey, tuple) and pkey
-                    and pkey[0] in ("radix_probe", "batch_probe")):
+                    and pkey[0] == "batch_probe"):
                 continue
             cols = []
             for p in pkey[1]:

@@ -143,7 +143,10 @@ class FreeConnexEnumerator(Enumerator):
         if any(len(r) == 0 for r in zero_ary):
             return ("enum", None)
         derived = [r for r in derived if len(r.variables) > 0]
-        inner = FullJoinEnumerator(derived, self.cq.head, reduce=True,
+        # no second reduce: the derived relations are projections of one
+        # fully reduced (hence globally consistent) join, so every tuple
+        # of each already extends to an answer
+        inner = FullJoinEnumerator(derived, self.cq.head, reduce=False,
                                    block_size=self.block_size,
                                    engine=self.engine)
         inner.preprocess()

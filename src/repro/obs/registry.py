@@ -20,7 +20,7 @@ code does not know the registry exists.  Parallel workers run their
 own registry instance and ``drain()`` it into the result metadata of
 each wave round-trip; the driver folds the state back in with
 ``merge_state`` (order-independent, see sketch.py), so one registry
-covers all four engine tiers.
+covers every engine tier.
 
 Gating: ``REPRO_METRICS=0`` (or ``off``/``false``/``no``) disables
 collection process-wide; anything else — including unset — leaves it

@@ -210,6 +210,14 @@ class _SpanContext:
         return False
 
 
+class _NewContext:
+    """The default of ``Tracer(context=...)``: a named sentinel rather
+    than ``object()``, so the signature renders the same in every run."""
+
+    def __repr__(self) -> str:
+        return "NEW"
+
+
 class Tracer:
     """A live trace: span tree + counters + gauges.
 
@@ -225,7 +233,7 @@ class Tracer:
 
     #: sentinel distinguishing "no context argument" (mint a fresh one)
     #: from an explicit ``context=None`` (trace without request identity)
-    _NEW = object()
+    _NEW = _NewContext()
 
     def __init__(self, context: Any = _NEW) -> None:
         self._lock = threading.Lock()

@@ -3,6 +3,8 @@ registry, the dictionary-encoded columnar kernel, and the satellite
 index/caching optimisations that ride along with it."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +39,41 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 def test_registry_lists_both_backends():
     assert "tuple" in available_engines()
     assert "columnar" in available_engines()
+
+
+def test_registry_lists_every_backend_exactly():
+    assert available_engines() == ["columnar", "parallel", "tuple"]
+    with pytest.raises(ValueError, match="unknown engine"):
+        get_engine("compiled")
+
+
+def test_tuple_engine_count_and_decide_never_import_numpy():
+    """Only the tuple backend is built at import: a fresh interpreter
+    that counts and decides on it loads neither numpy nor the numpy
+    backends, while every backend stays listed."""
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro import Database, parse_query\n"
+        "from repro.engine import available_engines\n"
+        "db = Database.from_relations({'R': [(1, 2), (2, 3)],\n"
+        "                              'S': [(2, 10), (3, 30)]})\n"
+        "assert repro.count(parse_query('Q(x, y, z) :- R(x, y), S(y, z)'),\n"
+        "                   db) == 2\n"
+        "assert repro.decide(parse_query('Q() :- R(x, y), S(y, z)'), db)\n"
+        "assert available_engines() == ['columnar', 'parallel', 'tuple']\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy'\n"
+        "                or m.startswith('repro.engine.'))\n"
+        "print(loaded)\n"
+        "assert 'numpy' not in sys.modules, loaded\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_get_engine_default_is_tuple(monkeypatch):

@@ -4,7 +4,7 @@ The contract under test: with ``--incremental`` / ``REPRO_INCREMENTAL=1``
 an interleaved stream of inserts, deletes and queries must produce
 results *byte-identical* to cold re-preprocessing after every update —
 reduced relations (contents AND row order), exact counts, weighted sums
-and enumeration order — across all four engine tiers, including the
+and enumeration order — across all three engine tiers, including the
 delta-log overflow boundary and plans the delta backend does not
 support (both of which must degrade gracefully to cold invalidation).
 
@@ -35,7 +35,7 @@ from repro.enumeration.free_connex import FreeConnexEnumerator
 from repro.eval.yannakakis import full_reducer
 from repro.logic.parser import parse_cq
 
-ENGINES = ["tuple", "columnar", "parallel", "compiled"]
+ENGINES = ["tuple", "columnar", "parallel"]
 
 PATH_QUERY = "Q(x, y, z) :- R(x, y), S(y, z), T(z)"
 ARITIES = {"R": 2, "S": 2, "T": 1}

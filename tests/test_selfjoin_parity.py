@@ -13,15 +13,19 @@ self-join analysis: core-based verdicts are decisive, not hedged with
 the old "lower bound stated for self-join-free queries" caveat.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.classify import classify
 from repro.core.plancache import clear_plan_cache
 from repro.counting.acq_count import count_acq
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import get_engine
+from repro.engine.base import ColumnarEngine
 from repro.engine.symbols import (
     SymbolWorkspace,
     atom_signature,
@@ -38,7 +42,7 @@ from repro.logic.terms import Constant, Variable
 from repro.obs.fitting import expected_verdict
 from repro.obs.registry import registry
 
-ENGINES = ("tuple", "columnar", "parallel", "compiled")
+ENGINES = ("tuple", "columnar", "parallel")
 
 DOMAIN = st.integers(min_value=0, max_value=4)
 
@@ -209,6 +213,81 @@ def test_workspace_lru_eviction():
     for rel in rels:
         ws.entry(rel.name, rel, "unit")
     assert ws.stats()["entries"] == 2              # oldest evicted
+
+
+def _self_join_cq():
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    return ConjunctiveQuery(
+        [x, y, z], [Atom("E", (x, y)), Atom("E", (y, z))])
+
+
+@sharing_scope(True)
+def test_symbol_cache_shares_probes_across_self_join_atoms():
+    rng = random.Random(5)
+    db = Database.from_relations({
+        "E": [(rng.randrange(25), rng.randrange(25)) for _ in range(800)],
+    })
+    cq = _self_join_cq()
+    eng = ColumnarEngine()
+    with obs.capture() as tracer:
+        r1 = eng.materialise_atom(db, cq.atoms[0])
+        r2 = eng.materialise_atom(db, cq.atoms[1])
+    # one miss (first atom installs the cache), one hit (second shares)
+    assert tracer.counters.get("columnar.symbol_cache_misses") == 1
+    assert tracer.counters.get("columnar.symbol_cache_hits") == 1
+    assert r1._probecache is r2._probecache
+    # a probe built through one atom is visible to the other: R(x,y)
+    # probing column 0 and R(y,z) probing column 0 are the same entry
+    p1 = r1.batch_probe((r1.variables[0],))
+    p2 = r2.batch_probe((r2.variables[0],))
+    assert p1 is p2
+
+
+@sharing_scope(True)
+def test_symbol_cache_invalidated_by_version_bump():
+    db = Database.from_relations({"E": [(1, 2), (2, 3)]})
+    cq = _self_join_cq()
+    eng = ColumnarEngine()
+    r1 = eng.materialise_atom(db, cq.atoms[0])
+    cache_before = r1._probecache
+    r1.batch_probe((r1.variables[0],))
+    assert len(cache_before) > 0
+    db.relation("E").add((3, 4))  # version bump
+    with obs.capture() as tracer:
+        r2 = eng.materialise_atom(db, cq.atoms[0])
+    assert tracer.counters.get("columnar.symbol_cache_misses") == 1
+    assert r2._probecache is not cache_before
+    assert len(r2) == 3
+    assert eng.workspace.stats()["entries"] >= 1
+
+
+@sharing_scope(True)
+def test_symbol_cache_variants_for_masked_atoms():
+    """Atoms with constants or repeated variables materialise masked
+    columns, so they must not share the *base* position-keyed cache —
+    but atoms with the *same* constant/dup-var signature share one
+    variant (masked columns and probe cache), regardless of the
+    variable names they use."""
+    db = Database.from_relations({"E": [(1, 1), (1, 2), (2, 2)]})
+    x, u = Variable("x"), Variable("u")
+    eng = ColumnarEngine()
+    dup = eng.materialise_atom(db, Atom("E", (x, x)))
+    plain = eng.materialise_atom(db, Atom("E", (x, Variable("y"))))
+    const = eng.materialise_atom(db, Atom("E", (x, Constant(2))))
+    assert dup._probecache is not plain._probecache
+    assert const._probecache is not plain._probecache
+    assert set(dup) == {(1,), (2,)}       # rows with t[0] == t[1]
+    assert set(const) == {(1,), (2,)}     # rows with t[1] == 2
+    # same signature, different variable names -> one shared variant
+    dup2 = eng.materialise_atom(db, Atom("E", (u, u)))
+    const2 = eng.materialise_atom(db, Atom("E", (u, Constant(2))))
+    assert dup2._probecache is dup._probecache
+    assert const2._probecache is const._probecache
+    assert set(dup2) == set(dup)
+    # a different constant is a different variant
+    other = eng.materialise_atom(db, Atom("E", (x, Constant(1))))
+    assert other._probecache is not const._probecache
+    assert set(other) == {(1,)}           # rows with t[1] == 1
 
 
 def test_sharing_scope_and_plan_key():
